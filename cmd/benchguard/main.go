@@ -26,6 +26,13 @@
 // missing from the current record does (it means coverage silently
 // disappeared). A missing baseline file passes with a note, so the guard
 // bootstraps cleanly on fresh branches.
+//
+// Core scaling: benchmarks matching -keep-procs keep their GOMAXPROCS
+// suffix in the record ("-1" is added where `go test -cpu 1` prints none),
+// so one run at -cpu 1,2 records both. On a host with at least two cores,
+// check mode fails when such a benchmark's 2-proc throughput is below its
+// 1-proc throughput in the current record — serving must not get slower
+// when given a second core.
 package main
 
 import (
@@ -35,14 +42,19 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
 
 // Record is the serialized benchmark file.
 type Record struct {
-	// Benchmarks maps benchmark name (GOMAXPROCS suffix stripped) to its
-	// measurements.
+	// GOMAXPROCS is the proc count the benchmarks ran at (the suffix `go
+	// test` appends), and NProc the logical CPUs of the recording host.
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
+	NProc      int `json:"nproc,omitempty"`
+	// Benchmarks maps benchmark name to its measurements. The GOMAXPROCS
+	// suffix is stripped, except for -keep-procs benchmarks (see above).
 	Benchmarks map[string]Bench `json:"benchmarks"`
 }
 
@@ -54,12 +66,13 @@ type Bench struct {
 
 // benchLine matches e.g.
 // "BenchmarkServeQuickstartPSE100-8   3000   2785 ns/op   369209 inst/s   59 B/op"
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(.*)$`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s+([\d.]+) ns/op(.*)$`)
 
 func main() {
 	var (
 		in        = flag.String("in", "", "emit: benchmark output file to parse ('-' for stdin)")
 		out       = flag.String("out", "", "emit: JSON record to write")
+		keepProcs = flag.String("keep-procs", "", "emit: regexp of benchmark names that keep their -N GOMAXPROCS suffix (for runs at several -cpu values)")
 		current   = flag.String("current", "", "check: current JSON record")
 		baseline  = flag.String("baseline", "", "check: committed baseline JSON record")
 		tolerance = flag.Float64("tolerance", 0.20, "check: allowed fractional inst/s regression")
@@ -70,7 +83,7 @@ func main() {
 
 	switch {
 	case *in != "" && *out != "":
-		if err := emit(*in, *out); err != nil {
+		if err := emit(*in, *out, *keepProcs); err != nil {
 			fail(err)
 		}
 	case *current != "" && *baseline != "":
@@ -82,7 +95,14 @@ func main() {
 	}
 }
 
-func emit(in, out string) error {
+func emit(in, out, keepProcs string) error {
+	var keep *regexp.Regexp
+	if keepProcs != "" {
+		var err error
+		if keep, err = regexp.Compile(keepProcs); err != nil {
+			return fmt.Errorf("benchguard: -keep-procs: %w", err)
+		}
+	}
 	f := os.Stdin
 	if in != "-" {
 		var err error
@@ -91,7 +111,7 @@ func emit(in, out string) error {
 		}
 		defer f.Close()
 	}
-	rec := Record{Benchmarks: map[string]Bench{}}
+	rec := Record{NProc: runtime.NumCPU(), Benchmarks: map[string]Bench{}}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -99,12 +119,21 @@ func emit(in, out string) error {
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
+		ns, err := strconv.ParseFloat(m[3], 64)
 		if err != nil {
 			continue
 		}
-		b := Bench{NsPerOp: ns, Metrics: parseMetrics(m[3])}
-		rec.Benchmarks[m[1]] = b
+		procs := 1
+		if m[2] != "" {
+			procs, _ = strconv.Atoi(m[2])
+		}
+		name := m[1]
+		if keep != nil && keep.MatchString(name) {
+			name = fmt.Sprintf("%s-%d", name, procs)
+		} else {
+			rec.GOMAXPROCS = max(rec.GOMAXPROCS, procs)
+		}
+		rec.Benchmarks[name] = Bench{NsPerOp: ns, Metrics: parseMetrics(m[4])}
 	}
 	if err := sc.Err(); err != nil {
 		return err
@@ -120,7 +149,8 @@ func emit(in, out string) error {
 	if err := os.WriteFile(out, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("benchguard: wrote %d benchmarks to %s\n", len(rec.Benchmarks), out)
+	fmt.Printf("benchguard: wrote %d benchmarks (GOMAXPROCS=%d, nproc=%d) to %s\n",
+		len(rec.Benchmarks), rec.GOMAXPROCS, rec.NProc, out)
 	return nil
 }
 
@@ -232,6 +262,7 @@ func check(currentPath, baselinePath, metric, normalize string, tolerance float6
 			}
 		}
 	}
+	regressions = append(regressions, checkScaling(cur, metric)...)
 	if len(regressions) > 0 {
 		return fmt.Errorf("benchguard: %d regression(s) beyond %.0f%%:\n\t%s",
 			len(regressions), 100*tolerance, strings.Join(regressions, "\n\t"))
@@ -242,6 +273,34 @@ func check(currentPath, baselinePath, metric, normalize string, tolerance float6
 	fmt.Printf("benchguard: %d benchmarks within throughput budget, %d latency/alloc measurements within budget\n",
 		checked, lowChecked)
 	return nil
+}
+
+// checkScaling compares each benchmark recorded at both one and two procs
+// within the current record: on a host with at least two cores, the 2-proc
+// throughput must not fall below the 1-proc throughput.
+func checkScaling(cur Record, metric string) []string {
+	var failures []string
+	for name, one := range cur.Benchmarks {
+		base, ok := strings.CutSuffix(name, "-1")
+		if !ok {
+			continue
+		}
+		two, ok := cur.Benchmarks[base+"-2"]
+		if !ok {
+			continue
+		}
+		v1, v2 := one.Metrics[metric], two.Metrics[metric]
+		switch {
+		case cur.NProc < 2:
+			fmt.Printf("benchguard: %s scaling not judged on a %d-core host\n", base, cur.NProc)
+		case v2 < v1:
+			failures = append(failures, fmt.Sprintf("%s: %s at 2 procs %.4g < at 1 proc %.4g (%.2fx)",
+				base, metric, v2, v1, v2/v1))
+		default:
+			fmt.Printf("benchguard: %s %s 1 -> 2 procs %.4g -> %.4g (%.2fx) ok\n", base, metric, v1, v2, v2/v1)
+		}
+	}
+	return failures
 }
 
 func load(path string) (Record, error) {

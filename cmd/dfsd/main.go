@@ -56,7 +56,6 @@ func main() {
 		tenantFlight = fs.Int("tenant-inflight", 0, "per-tenant in-flight instance quota (0 = unlimited)")
 		shedQueue    = fs.Int("shed-queue", 0, "shed when the worker queue is deeper than this (0 = 4096, negative disables)")
 		shedP99      = fs.Duration("shed-p99", 0, "shed while the recent p99 exceeds this watermark (0 = off)")
-		latWindow    = fs.Int("latwindow", 4096, "latency samples retained per stats shard (sliding percentile window; 0 = unbounded)")
 		drainWait    = fs.Duration("drain", 30*time.Second, "graceful shutdown: max wait for in-flight instances")
 		dataDir      = fs.String("datadir", "", "durable schema registry directory: WAL + snapshot, replayed on boot (empty = in-memory only)")
 		snapEvery    = fs.Int("snapevery", 0, "WAL appends between registry snapshot rewrites (0 = 256; needs -datadir)")
@@ -70,10 +69,6 @@ func main() {
 		return
 	}
 
-	// A long-running server must not accumulate latency samples without
-	// bound; the window also makes the shed-p99 watermark track *recent*
-	// tail latency instead of the all-time percentile.
-	cf.LatencyWindow = *latWindow
 	if err := pf.Validate(&cf); err != nil {
 		fail(err)
 	}
@@ -103,8 +98,8 @@ func main() {
 			Burst:       *tenantBurst,
 			MaxInFlight: *tenantFlight,
 		},
-		ShedQueueDepth: *shedQueue,
-		ShedP99:        *shedP99,
+		ShedQueueDepth:     *shedQueue,
+		ShedP99:            *shedP99,
 		DataDir:            *dataDir,
 		SnapshotEvery:      *snapEvery,
 		CaptureDir:         capf.Dir,

@@ -371,6 +371,11 @@ func (c *bconn) writer() {
 			buf := c.wq
 			c.wq = spare[:0]
 			c.wmu.Unlock()
+			// buf is no longer the queue, so it is the next spare — even
+			// when empty. Keeping the old spare here would leave it
+			// aliasing the queue just installed, and the next flush would
+			// write that array while producers append into it.
+			spare = buf
 			if len(buf) == 0 {
 				break
 			}
@@ -378,7 +383,6 @@ func (c *bconn) writer() {
 				c.fail(err)
 				return
 			}
-			spare = buf
 		}
 		if !c.usable() {
 			return

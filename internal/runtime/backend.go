@@ -32,7 +32,8 @@ import (
 //
 // done may be invoked synchronously from Submit or from any goroutine; the
 // service's completion handler is cheap and non-blocking (it releases an
-// admission token and enqueues the completion for a worker), so backends
+// admission token, then hands the completion back to the worker still
+// inside this Submit call or enqueues it for the worker pool), so backends
 // need not defend against slow callbacks.
 //
 // Implementations must be safe for concurrent Submit calls.

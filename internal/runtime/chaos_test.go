@@ -242,11 +242,14 @@ func runChaosScenario(t *testing.T, sc chaosScenario, seed int64) {
 
 	// Spread instances over distinct source vectors so dedup/cache can't
 	// collapse the whole fleet into one backend query — faults must be
-	// hit, not hidden; precompute each variant's oracle.
+	// hit, not hidden; precompute each variant's oracle. Instances after
+	// the injection draw from a second, fresh set of variants: reusing the
+	// first set would let a cache warmed before the fault answer every
+	// query the fault should have met.
 	const variants = 32
 	rng := rand.New(rand.NewSource(seed))
-	sources := make([]map[string]value.Value, variants)
-	oracles := make([]*snapshot.Snapshot, variants)
+	sources := make([]map[string]value.Value, 2*variants)
+	oracles := make([]*snapshot.Snapshot, 2*variants)
 	for v := range sources {
 		m := make(map[string]value.Value, len(base))
 		for name, val := range base {
@@ -298,6 +301,9 @@ func runChaosScenario(t *testing.T, sc chaosScenario, seed int64) {
 			sc.inject(reps)
 		}
 		v := i % variants
+		if i >= n/3 {
+			v += variants
+		}
 		oracle := oracles[v]
 		err := svc.Submit(Request{
 			Schema:   qs,

@@ -174,36 +174,6 @@ func TestTenantStats(t *testing.T) {
 	}
 }
 
-// TestLatencyWindow: with a window configured, percentile memory is
-// bounded to the window while counters keep counting everything.
-func TestLatencyWindow(t *testing.T) {
-	s, sources := quickstart(t)
-	svc := New(Config{Workers: 1, LatencyWindow: 8})
-	defer svc.Close()
-	st := engine.MustParseStrategy("PSE100")
-	for i := 0; i < 100; i++ {
-		if _, err := svc.Do(s, sources, st); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stats := svc.Stats()
-	if stats.Completed != 100 {
-		t.Fatalf("Completed = %d, want 100", stats.Completed)
-	}
-	if stats.P99 <= 0 {
-		t.Fatal("windowed percentiles empty")
-	}
-	for i := range svc.shards {
-		sh := &svc.shards[i]
-		sh.mu.Lock()
-		n := len(sh.lats.buf)
-		sh.mu.Unlock()
-		if n > 8 {
-			t.Fatalf("shard %d retains %d samples, window is 8", i, n)
-		}
-	}
-}
-
 // TestCloseDrainsAcceptedInstances pins the Close drain contract: Close
 // after Submit completes every accepted instance (each Done callback fires
 // before Close returns), later Submits fail with ErrClosed — a typed

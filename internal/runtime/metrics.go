@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"maps"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -31,7 +32,9 @@ type Stats struct {
 	SynthesisRuns uint64
 	Failures      uint64
 	// Latency percentiles over completed instances (wall clock, submit to
-	// terminal snapshot).
+	// terminal snapshot), read from fixed-size histograms: within 1/32
+	// relative error of the exact sample at each rank. Max and AvgLatency
+	// are exact.
 	P50, P95, P99, Max time.Duration
 	// AvgLatency is the mean wall-clock latency.
 	AvgLatency time.Duration
@@ -87,8 +90,8 @@ type Stats struct {
 }
 
 // TenantStats is one tenant's slice of the service metrics: completions,
-// errors, and latency percentiles over that tenant's instances (subject to
-// Config.LatencyWindow like the aggregate percentiles).
+// errors, and latency percentiles over that tenant's instances (from the
+// same histograms as the aggregate percentiles).
 type TenantStats struct {
 	Completed          uint64
 	Errors             uint64
@@ -155,7 +158,6 @@ func (st Stats) String() string {
 // is only contended by Stats readers).
 type shard struct {
 	mu        sync.Mutex
-	window    int // Config.LatencyWindow: max samples retained (0 = all)
 	completed uint64
 	errors    uint64
 	// shadowCompleted / shadowErrors tally Request.Shadow instances, which
@@ -163,47 +165,107 @@ type shard struct {
 	shadowCompleted uint64
 	shadowErrors    uint64
 	work            uint64
-	wasted    uint64
-	launched  uint64
-	synth     uint64
-	failures  uint64
-	lats      latRing // latency samples, ns
-	tenants   map[string]*tenantCell
+	wasted          uint64
+	launched        uint64
+	synth           uint64
+	failures        uint64
+	lats            statHist // latency histogram, ns
+	tenants         map[string]*tenantCell
 }
 
 // tenantCell is one tenant's per-shard slice.
 type tenantCell struct {
 	completed uint64
 	errors    uint64
-	lats      latRing
+	lats      statHist
 }
 
-// latRing holds latency samples: an unbounded append when window is 0, a
-// ring of the most recent window samples otherwise (so a long-running
-// server's percentiles cover a sliding window at constant memory).
-type latRing struct {
-	window int
-	buf    []int64
-	n      int // total samples recorded
+// The latency histogram is log-linear over nanoseconds: values below
+// statSub get one bucket each, and every octave [2^e, 2^(e+1)) above is
+// split into statSub equal sub-buckets. A percentile reports its bucket's
+// midpoint, which is within half a sub-bucket — 2^e/(2·statSub), so at
+// most 1/32 of the value — of the exact sample at that rank. Values from
+// 2^statMaxExp ns (about 18 minutes) up share the last bucket.
+const (
+	statSubBits = 4
+	statSub     = 1 << statSubBits
+	statMaxExp  = 40
+	statBuckets = (statMaxExp - statSubBits + 1) * statSub
+)
+
+// statHist is a fixed-size latency histogram (about 4.7 KiB): count, sum
+// and max are exact, percentiles carry the bucket error described above.
+// A shard's and a tenant cell's memory therefore does not grow with the
+// completions they record.
+type statHist struct {
+	n, sum, max int64
+	counts      [statBuckets]uint64
 }
 
-func (r *latRing) add(v int64) {
-	if r.window <= 0 {
-		r.buf = append(r.buf, v)
-		r.n++
-		return
+// statIndex returns the bucket of a nanosecond latency.
+func statIndex(v int64) int {
+	if v < statSub {
+		return int(max(v, 0))
 	}
-	if len(r.buf) < r.window {
-		r.buf = append(r.buf, v)
-	} else {
-		r.buf[r.n%r.window] = v
+	e := bits.Len64(uint64(v)) - 1
+	if e >= statMaxExp {
+		return statBuckets - 1
 	}
-	r.n++
+	return (e-statSubBits+1)*statSub + int(v>>(e-statSubBits))&(statSub-1)
 }
 
-func (r *latRing) reset() {
-	r.buf = r.buf[:0]
-	r.n = 0
+// statMid returns the midpoint of bucket i.
+func statMid(i int) int64 {
+	if i < statSub {
+		return int64(i)
+	}
+	e := i>>statSubBits + statSubBits - 1
+	width := int64(1) << (e - statSubBits)
+	lo := int64(1)<<e + int64(i&(statSub-1))*width
+	return lo + width/2
+}
+
+func (h *statHist) add(v int64) {
+	h.n++
+	h.sum += v
+	h.max = max(h.max, v)
+	h.counts[statIndex(v)]++
+}
+
+func (h *statHist) merge(o *statHist) {
+	h.n += o.n
+	h.sum += o.sum
+	h.max = max(h.max, o.max)
+	for i, c := range o.counts {
+		h.counts[i] += c
+	}
+}
+
+// quantile returns the nearest-rank q-quantile (the sample at rank
+// ⌊q·(n−1)⌋ in sorted order, as a sorted-slice percentile would pick),
+// estimated by its bucket midpoint and capped at the exact max.
+func (h *statHist) quantile(q float64) time.Duration {
+	if h.n == 0 {
+		return 0
+	}
+	rank := uint64(q * float64(h.n-1))
+	var cum uint64
+	for i, c := range h.counts {
+		cum += c
+		if cum > rank {
+			return time.Duration(min(statMid(i), h.max))
+		}
+	}
+	return time.Duration(h.max)
+}
+
+// summary returns the latency summary the Stats fields report.
+func (h *statHist) summary() (p50, p95, p99, max, avg time.Duration) {
+	if h.n == 0 {
+		return 0, 0, 0, 0, 0
+	}
+	return h.quantile(0.50), h.quantile(0.95), h.quantile(0.99),
+		time.Duration(h.max), time.Duration(h.sum / h.n)
 }
 
 // record folds one completed instance into the shard.
@@ -225,7 +287,7 @@ func (sh *shard) record(r *engine.Result, latency time.Duration, tenant string) 
 			if sh.tenants == nil {
 				sh.tenants = make(map[string]*tenantCell)
 			}
-			cell = &tenantCell{lats: latRing{window: sh.window}}
+			cell = &tenantCell{}
 			sh.tenants[tenant] = cell
 		}
 		cell.completed++
@@ -280,10 +342,10 @@ func (s *Service) Stats() Stats {
 		st.BreakerTrips = c.BreakerTrips
 		st.FailedQueries = c.Failed
 	}
-	var lats []int64
+	var lats statHist
 	type tenantAgg struct {
 		completed, errors uint64
-		lats              []int64
+		lats              statHist
 	}
 	var tenants map[string]*tenantAgg
 	for i := range s.shards {
@@ -298,7 +360,7 @@ func (s *Service) Stats() Stats {
 		st.Launched += sh.launched
 		st.SynthesisRuns += sh.synth
 		st.Failures += sh.failures
-		lats = append(lats, sh.lats.buf...)
+		lats.merge(&sh.lats)
 		for name, cell := range sh.tenants {
 			if tenants == nil {
 				tenants = make(map[string]*tenantAgg)
@@ -310,7 +372,7 @@ func (s *Service) Stats() Stats {
 			}
 			agg.completed += cell.completed
 			agg.errors += cell.errors
-			agg.lats = append(agg.lats, cell.lats.buf...)
+			agg.lats.merge(&cell.lats)
 		}
 		sh.mu.Unlock()
 	}
@@ -318,82 +380,51 @@ func (s *Service) Stats() Stats {
 		st.Tenants = make(map[string]TenantStats, len(tenants))
 		for name, agg := range tenants {
 			ts := TenantStats{Completed: agg.completed, Errors: agg.errors}
-			ts.P50, ts.P95, ts.P99, ts.Max, ts.AvgLatency = summarize(agg.lats)
+			ts.P50, ts.P95, ts.P99, ts.Max, ts.AvgLatency = agg.lats.summary()
 			st.Tenants[name] = ts
 		}
 	}
-	st.P50, st.P95, st.P99, st.Max, st.AvgLatency = summarize(lats)
+	st.P50, st.P95, st.P99, st.Max, st.AvgLatency = lats.summary()
 	return st
 }
 
-// summarize sorts ns samples in place and returns the latency summary.
-func summarize(lats []int64) (p50, p95, p99, max, avg time.Duration) {
-	if len(lats) == 0 {
-		return 0, 0, 0, 0, 0
-	}
-	slices.Sort(lats)
-	var sum int64
-	for _, l := range lats {
-		sum += l
-	}
-	return pct(lats, 0.50), pct(lats, 0.95), pct(lats, 0.99),
-		time.Duration(lats[len(lats)-1]), time.Duration(sum / int64(len(lats)))
-}
+// LatencyHist is a cumulative snapshot of the service's serving-latency
+// histogram (every live completion since start or the last ResetStats).
+// Two snapshots taken apart describe exactly the completions between
+// them, which is what an overload sampler needs: see Since.
+type LatencyHist struct{ h statHist }
 
-// lastK appends up to the k most recently recorded samples to dst,
-// newest first.
-func (r *latRing) lastK(dst []int64, k int) []int64 {
-	n := len(r.buf)
-	if k > n {
-		k = n
-	}
-	if r.window <= 0 || n < r.window {
-		return append(dst, r.buf[n-k:]...)
-	}
-	for i := 0; i < k; i++ {
-		dst = append(dst, r.buf[(r.n-1-i)%r.window])
-	}
-	return dst
-}
-
-// RecentP99 returns the p99 over at most the `limit` most recent latency
-// samples per stats shard (limit <= 0 means every retained sample),
-// without the full Stats aggregation (tenant maps, counters) — cheap
-// enough for a background overload sampler to call several times a
-// second. An overload sampler passes the completion count of its last
-// interval as the limit, so the percentile reflects what just happened
-// rather than a retention window that older (possibly pathological)
-// samples still dominate.
-func (s *Service) RecentP99(limit int) time.Duration {
-	var lats []int64
+// LatencySnapshot overwrites dst with the current cumulative histogram,
+// merged over the stats shards — far cheaper than the full Stats
+// aggregation, and allocation-free, so a background sampler can call it
+// several times a second.
+func (s *Service) LatencySnapshot(dst *LatencyHist) {
+	dst.h = statHist{}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		if limit <= 0 {
-			lats = append(lats, sh.lats.buf...)
-		} else {
-			lats = sh.lats.lastK(lats, limit)
+		dst.h.merge(&sh.lats)
+		sh.mu.Unlock()
+	}
+}
+
+// P99Since returns the p99 latency of the completions recorded after prev
+// was taken and before h was (within the histogram's 1/32 relative error;
+// capped at the all-time max, the only max two snapshots retain), or 0
+// when there were none. When the stats were reset in between, prev no
+// longer bounds h from below and h is judged alone.
+func (h *LatencyHist) P99Since(prev *LatencyHist) time.Duration {
+	var d statHist
+	d.max = h.h.max
+	for i, c := range h.h.counts {
+		p := prev.h.counts[i]
+		if c < p {
+			return h.h.quantile(0.99)
 		}
-		sh.mu.Unlock()
+		d.counts[i] = c - p
+		d.n += int64(c - p)
 	}
-	if len(lats) == 0 {
-		return 0
-	}
-	slices.Sort(lats)
-	return pct(lats, 0.99)
-}
-
-// CompletedTotal returns the completed-instance count alone — the cheap
-// liveness companion to RecentP99 for overload samplers.
-func (s *Service) CompletedTotal() uint64 {
-	var total uint64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		total += sh.completed
-		sh.mu.Unlock()
-	}
-	return total
+	return d.quantile(0.99)
 }
 
 // ResetStats zeroes the aggregate metrics (latency samples included); the
@@ -420,14 +451,8 @@ func (s *Service) ResetStats() {
 		sh.completed, sh.errors = 0, 0
 		sh.shadowCompleted, sh.shadowErrors = 0, 0
 		sh.work, sh.wasted, sh.launched, sh.synth, sh.failures = 0, 0, 0, 0, 0
-		sh.lats.reset()
+		sh.lats = statHist{}
 		sh.tenants = nil
 		sh.mu.Unlock()
 	}
-}
-
-// pct returns the nearest-rank percentile of sorted ns samples.
-func pct(sorted []int64, p float64) time.Duration {
-	idx := int(p * float64(len(sorted)-1))
-	return time.Duration(sorted[idx])
 }

@@ -1,8 +1,13 @@
 package runtime
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // The golden suite for Stats.String: the report is rendered in one
@@ -142,5 +147,104 @@ func TestStatsStringGolden(t *testing.T) {
 				t.Errorf("Stats.String mismatch\ngot:\n%s\nwant:\n%s", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestLatencyStatsConstantMemory: recording a completion allocates
+// nothing once its tenant cell exists, however many completions a shard
+// has seen, and the counters keep counting every one of them.
+func TestLatencyStatsConstantMemory(t *testing.T) {
+	var sh shard
+	res := &engine.Result{Work: 3}
+	sh.record(res, time.Millisecond, "acme") // materialize the tenant cell
+	i := 0
+	allocs := testing.AllocsPerRun(100000, func() {
+		i++
+		sh.record(res, time.Duration(i)*time.Microsecond, "acme")
+	})
+	if allocs != 0 {
+		t.Fatalf("record allocates %.2f per completion, want 0", allocs)
+	}
+	if uint64(sh.lats.n) != sh.completed || uint64(sh.tenants["acme"].lats.n) != sh.completed {
+		t.Fatalf("histogram counts %d/%d, completed %d",
+			sh.lats.n, sh.tenants["acme"].lats.n, sh.completed)
+	}
+	if got := time.Duration(sh.lats.max); got != time.Duration(i)*time.Microsecond {
+		t.Fatalf("max = %v, want %v", got, time.Duration(i)*time.Microsecond)
+	}
+}
+
+// TestLatencyHistPrecision: every percentile the histogram reports is
+// within 1/32 of the exact nearest-rank sample, across eight decades of
+// latency; count, sum and max are exact.
+func TestLatencyHistPrecision(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, spread := range []float64{1, 4, 18} {
+		var h statHist
+		samples := make([]int64, 20000)
+		var sum int64
+		for i := range samples {
+			v := int64(math.Exp(rng.Float64()*spread) * 1000) // from 1µs up
+			samples[i] = v
+			sum += v
+			h.add(v)
+		}
+		slices.Sort(samples)
+		for _, q := range []float64{0, 0.01, 0.5, 0.9, 0.95, 0.99, 0.999, 1} {
+			exact := samples[int(q*float64(len(samples)-1))]
+			got := int64(h.quantile(q))
+			if math.Abs(float64(got-exact)) > float64(exact)/32 {
+				t.Errorf("spread %v q=%v: got %d, exact %d (error > 1/32)", spread, q, got, exact)
+			}
+		}
+		if h.n != int64(len(samples)) || h.sum != sum || h.max != samples[len(samples)-1] {
+			t.Errorf("spread %v: n/sum/max = %d/%d/%d, want %d/%d/%d",
+				spread, h.n, h.sum, h.max, len(samples), sum, samples[len(samples)-1])
+		}
+	}
+	// Sub-bucket resolution is exact below statSub ns, and every bucket's
+	// midpoint maps back to the bucket.
+	for v := int64(0); v < statSub; v++ {
+		if statMid(statIndex(v)) != v {
+			t.Fatalf("value %d not exact", v)
+		}
+	}
+	for i := 0; i < statBuckets; i++ {
+		if statIndex(statMid(i)) != i {
+			t.Fatalf("bucket %d midpoint %d maps to bucket %d", i, statMid(i), statIndex(statMid(i)))
+		}
+	}
+}
+
+// TestLatencySnapshotInterval: the difference of two cumulative snapshots
+// judges only the completions between them — a slow past does not leak
+// into a fast interval — and a reset in between judges the later
+// snapshot alone.
+func TestLatencySnapshotInterval(t *testing.T) {
+	svc := New(Config{Workers: 2})
+	defer svc.Close()
+	res := &engine.Result{}
+	for i := 0; i < 1000; i++ {
+		svc.shards[i%2].record(res, time.Second, "")
+	}
+	var before, after LatencyHist
+	svc.LatencySnapshot(&before)
+	for i := 0; i < 100; i++ {
+		svc.shards[i%2].record(res, time.Millisecond, "")
+	}
+	svc.LatencySnapshot(&after)
+	if got := after.P99Since(&after); got != 0 {
+		t.Fatalf("p99 of an empty interval = %v, want 0", got)
+	}
+	if got := after.P99Since(&before); math.Abs(float64(got-time.Millisecond)) > float64(time.Millisecond)/32 {
+		t.Fatalf("interval p99 = %v, want ~1ms (the earlier 1s samples must not count)", got)
+	}
+	svc.ResetStats()
+	for i := 0; i < 10; i++ {
+		svc.shards[0].record(res, 2*time.Millisecond, "")
+	}
+	svc.LatencySnapshot(&after)
+	if got := after.P99Since(&before); math.Abs(float64(got-2*time.Millisecond)) > float64(2*time.Millisecond)/32 {
+		t.Fatalf("p99 after reset = %v, want ~2ms", got)
 	}
 }

@@ -77,12 +77,6 @@ type Config struct {
 	// identical queries, and the attribute-result cache. The zero value
 	// disables the layer entirely (launches go straight to the Backend).
 	Query QueryConfig
-	// LatencyWindow, when > 0, bounds the latency samples retained per
-	// stats shard to the most recent LatencyWindow completions, so
-	// percentiles cover a sliding recent window and a long-running server
-	// holds constant memory. 0 (the default) retains every sample since
-	// the last ResetStats — exact percentiles for bounded load runs.
-	LatencyWindow int
 }
 
 // Service executes decision flow instances concurrently in wall-clock
@@ -141,10 +135,6 @@ func New(cfg Config) *Service {
 		cfg:    cfg,
 		tokens: make(chan struct{}, cfg.MaxInFlightTasks),
 		shards: make([]shard, cfg.Workers),
-	}
-	for i := range s.shards {
-		s.shards[i].window = cfg.LatencyWindow
-		s.shards[i].lats.window = cfg.LatencyWindow
 	}
 	s.routed, _ = cfg.Backend.(Routed)
 	s.fallible, _ = cfg.Backend.(Fallible)
@@ -345,13 +335,14 @@ func (s *Service) worker(sh *shard) {
 }
 
 // taskDone is the backend completion path: release the admission token and
-// hand the completion to the worker pool. It must stay cheap and
-// non-blocking — it runs on backend goroutines (timers, pacers). A non-nil
-// err means the query terminally failed (every cluster retry exhausted):
-// the task completes as failed, delivering ⟂.
+// deliver the completion. It must stay cheap and non-blocking — it runs on
+// backend goroutines (timers, pacers) and, for synchronous backends, inside
+// the launching worker's Submit call. A non-nil err means the query
+// terminally failed (every cluster retry exhausted): the task completes as
+// failed, delivering ⟂.
 func (s *Service) taskDone(in *inst, id core.AttrID, err error) {
 	<-s.tokens
-	s.queue.push(job{in: in, id: id, failed: err != nil})
+	s.deliver(in, id, err != nil)
 }
 
 // taskDoneShared is the completion path for launches routed through the
@@ -360,7 +351,16 @@ func (s *Service) taskDone(in *inst, id core.AttrID, err error) {
 // — a deduplicated or cached launch puts no new task on the database, so
 // it must not consume database admission. This only delivers.
 func (s *Service) taskDoneShared(in *inst, id core.AttrID, err error) {
-	s.queue.push(job{in: in, id: id, failed: err != nil})
+	s.deliver(in, id, err != nil)
+}
+
+// deliver hands a completion back to the worker still launching it (see
+// inst.hand), or else queues it for the worker pool.
+func (s *Service) deliver(in *inst, id core.AttrID, failed bool) {
+	if in.handBack(id, failed) {
+		return
+	}
+	s.queue.push(job{in: in, id: id, failed: failed})
 }
 
 // --- instance ---
@@ -377,6 +377,16 @@ type inst struct {
 	// submit); cancel jobs carry the generation they target so a nudge
 	// arriving after recycling is inert.
 	gen atomic.Uint64
+
+	// hand is the completion-handback word. While drive is inside the
+	// backend call that launches attribute id, it holds id<<handBits |
+	// handLaunching; a completion of that launch arriving meanwhile — from
+	// the backend's Submit itself or from any other goroutine — swaps in
+	// handOK or handFailed instead of queueing, and drive applies it after
+	// the call returns. The id tag keeps a concurrent completion of some
+	// other attribute of this instance from claiming the slot. Outside a
+	// launch the word is handIdle.
+	hand atomic.Uint64
 
 	mu          sync.Mutex
 	core        engine.Core
@@ -396,6 +406,37 @@ type inst struct {
 	okFns   []func()
 	// keyBuf is the scratch buffer for rendering query sharing identities.
 	keyBuf []byte
+	// handed queues the completions claimed through hand, in launch order;
+	// drive applies handed[next:] one at a time, as a FIFO worker would.
+	handed []handedTask
+	next   int
+}
+
+// handedTask is one completion handed back to its launching worker.
+type handedTask struct {
+	id     core.AttrID
+	failed bool
+}
+
+// States of inst.hand, in its low handBits bits.
+const (
+	handIdle      = 0
+	handLaunching = 1
+	handOK        = 2
+	handFailed    = 3
+	handBits      = 2
+)
+
+// handBack claims a completion of attribute id for the worker that is
+// still inside the backend call launching it, reporting false when no such
+// launch is in progress (the caller then queues the completion).
+func (in *inst) handBack(id core.AttrID, failed bool) bool {
+	tag := uint64(id) << handBits
+	st := uint64(handOK)
+	if failed {
+		st = handFailed
+	}
+	return in.hand.CompareAndSwap(tag|handLaunching, tag|st)
 }
 
 // begin initializes the pooled state for the new request and runs the
@@ -414,27 +455,48 @@ func (in *inst) begin(sh *shard) {
 	in.drive(sh)
 }
 
-// drive advances the core and submits the launches it selects. Called
-// with in.mu held; releases it on every path.
+// drive advances the core and submits the launches it selects, then
+// applies the completions handed back during those launches: one at a
+// time in launch order, each followed by its own advance — the order in
+// which a single FIFO worker would have popped them — so Work, WastedWork
+// and Launched are those of queued delivery. Called with in.mu held;
+// releases it on every path.
 func (in *inst) drive(sh *shard) {
-	if ctx := in.req.Ctx; ctx != nil {
-		if err := ctx.Err(); err != nil {
-			in.abort(sh, err)
+	for {
+		if ctx := in.req.Ctx; ctx != nil {
+			if err := ctx.Err(); err != nil {
+				in.abort(sh, err)
+				return
+			}
+		}
+		launches, status := in.core.Advance()
+		if status != engine.StatusRunning {
+			in.finalize(sh, status)
 			return
 		}
+		for _, id := range launches {
+			cost, _ := in.core.Book(id)
+			in.outstanding++
+			tag := uint64(id) << handBits
+			in.hand.Store(tag | handLaunching)
+			in.launch(id, cost, in.doneFn(id))
+			if !in.hand.CompareAndSwap(tag|handLaunching, handIdle) {
+				// Claimed: the word now holds this launch's outcome, and
+				// no other completion can match its tag.
+				st := in.hand.Swap(handIdle) & (1<<handBits - 1)
+				in.handed = append(in.handed, handedTask{id: id, failed: st == handFailed})
+			}
+		}
+		if in.next == len(in.handed) {
+			in.handed, in.next = in.handed[:0], 0
+			in.mu.Unlock()
+			return
+		}
+		t := in.handed[in.next]
+		in.next++
+		in.outstanding--
+		in.core.Complete(t.id, t.failed)
 	}
-	launches, status := in.core.Advance()
-	if status != engine.StatusRunning {
-		in.finalize(sh, status)
-		return
-	}
-	for _, id := range launches {
-		cost, _ := in.core.Book(id)
-		in.outstanding++
-		done := in.doneFn(id)
-		in.launch(id, cost, done)
-	}
-	in.mu.Unlock()
 }
 
 // launch routes one booked task to the backend — through the shared query
@@ -504,15 +566,23 @@ func (in *inst) finishTask(sh *shard, id core.AttrID, failed bool) {
 // second worker can acquire in.mu before begin does — is requeued rather
 // than dropped: the caller was promised a prompt abort even without a
 // Request.Ctx to catch it at drive time.
+//
+// The checks run in that order because finalized is only meaningful once
+// begin has reset it: before then it is left over from the pooled state's
+// previous occupancy.
 func (in *inst) cancelJob(sh *shard, gen uint64, err error) {
 	in.mu.Lock()
-	if in.gen.Load() != gen || in.finalized {
+	if in.gen.Load() != gen {
 		in.mu.Unlock()
 		return
 	}
 	if in.begunGen != gen {
 		in.mu.Unlock()
 		in.svc.queue.push(job{in: in, gen: gen, cancel: true, cancelErr: err})
+		return
+	}
+	if in.finalized {
+		in.mu.Unlock()
 		return
 	}
 	in.abort(sh, err)
@@ -533,6 +603,11 @@ func (in *inst) abort(sh *shard, cause error) {
 // with in.mu held; releases it.
 func (in *inst) finalize(sh *shard, status engine.Status) {
 	in.finalized = true
+	// Handed-back completions not yet applied are stragglers like any
+	// queued one: their work was sealed as waste at termination, and they
+	// no longer hold the state alive.
+	in.outstanding -= len(in.handed) - in.next
+	in.handed, in.next = in.handed[:0], 0
 	if status == engine.StatusStuck {
 		in.res.Err = fmt.Errorf("runtime: instance stuck; no candidates, nothing in flight:\n%s", in.core.Snapshot())
 	}

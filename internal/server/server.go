@@ -58,9 +58,10 @@ type Config struct {
 	// deeper than this watermark (0 = 4096). Negative disables.
 	ShedQueueDepth int
 	// ShedP99 sheds new work while the service's recent p99 exceeds this
-	// watermark (0 disables). The p99 is sampled in the background every
-	// WatermarkInterval; pair it with runtime.Config.LatencyWindow so the
-	// percentile covers a recent window rather than all time.
+	// watermark (0 disables). Every WatermarkInterval a background sampler
+	// takes the p99 of that interval's own completions: the difference of
+	// two cumulative latency-histogram snapshots (within the histogram's
+	// 1/32 relative error), so earlier traffic does not weigh on it.
 	ShedP99 time.Duration
 	// WatermarkInterval is the p99 sampling period (0 = 250ms).
 	WatermarkInterval time.Duration
@@ -545,29 +546,25 @@ func (s *Server) tenantFor(name string) *tenant {
 
 // watchP99 samples the tail latency of the completions of the last
 // interval and flips the overload bit. Judging only the interval's own
-// completions (not the whole retention window) keeps the bit honest in
-// both directions: it cannot latch — a quiet interval (shedding blocked
-// everything, backlog drained) clears it so admitted traffic probes the
-// backend — and it cannot duty-cycle on stale samples, because a
-// recovered backend's fresh completions read fast immediately instead
-// of waiting for thousands of spike-era samples to age out of the ring.
+// completions (the difference of this tick's cumulative histogram and the
+// last one) keeps the bit honest in both directions: it cannot latch — a
+// quiet interval (shedding blocked everything, backlog drained) clears it
+// so admitted traffic probes the backend — and it cannot duty-cycle on
+// stale samples, because a recovered backend's fresh completions read
+// fast immediately, whatever the spike left in the cumulative counts.
 func (s *Server) watchP99() {
 	tick := time.NewTicker(s.cfg.WatermarkInterval)
 	defer tick.Stop()
-	var lastCompleted uint64
+	prev, cur := new(runtime.LatencyHist), new(runtime.LatencyHist)
 	for {
 		select {
 		case <-s.stopWake:
 			return
 		case <-tick.C:
-			completed := s.svc.CompletedTotal()
-			delta := completed - lastCompleted
-			lastCompleted = completed
-			if delta == 0 {
-				s.p99High.Store(false)
-				continue
-			}
-			s.p99High.Store(s.svc.RecentP99(int(delta)) > s.cfg.ShedP99)
+			// A quiet interval reads p99 0, which clears the bit.
+			s.svc.LatencySnapshot(cur)
+			s.p99High.Store(cur.P99Since(prev) > s.cfg.ShedP99)
+			prev, cur = cur, prev
 		}
 	}
 }

@@ -217,7 +217,7 @@ func TestBatchExceedsBurst(t *testing.T) {
 // backlog drains, a quiet sampling tick clears the overload bit so
 // admitted traffic can probe the backend again.
 func TestShedP99Recovers(t *testing.T) {
-	_, srv, hs, _ := newTestStack(t, runtime.Config{LatencyWindow: 64},
+	_, srv, hs, _ := newTestStack(t, runtime.Config{},
 		func(cfg *Config) {
 			cfg.ShedP99 = time.Nanosecond // every completion trips the watermark
 			cfg.WatermarkInterval = 5 * time.Millisecond
