@@ -27,12 +27,14 @@
 // disappeared). A missing baseline file passes with a note, so the guard
 // bootstraps cleanly on fresh branches.
 //
-// Core scaling: benchmarks matching -keep-procs keep their GOMAXPROCS
-// suffix in the record ("-1" is added where `go test -cpu 1` prints none),
-// so one run at -cpu 1,2 records both. On a host with at least two cores,
-// check mode fails when such a benchmark's 2-proc throughput is below its
-// 1-proc throughput in the current record — serving must not get slower
-// when given a second core.
+// Core scaling: a benchmark the output holds at more than one GOMAXPROCS
+// (`go test -cpu 1,2`) keeps its proc suffix in the record, "-1" included
+// where `go test` prints none, so each proc count gets its own entry. On a
+// host with at least two cores, check mode fails when such a benchmark's
+// 2-proc throughput is below its 1-proc throughput in the current record —
+// serving must not get slower when given a second core. Normalized mode
+// leaves these entries to the scaling check: the normalizer runs at one
+// proc count only, so their ratio to it would move with the host's cores.
 package main
 
 import (
@@ -40,6 +42,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"runtime"
@@ -54,7 +57,8 @@ type Record struct {
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 	NProc      int `json:"nproc,omitempty"`
 	// Benchmarks maps benchmark name to its measurements. The GOMAXPROCS
-	// suffix is stripped, except for -keep-procs benchmarks (see above).
+	// suffix is stripped, except for benchmarks run at several proc counts
+	// (see above).
 	Benchmarks map[string]Bench `json:"benchmarks"`
 }
 
@@ -72,7 +76,6 @@ func main() {
 	var (
 		in        = flag.String("in", "", "emit: benchmark output file to parse ('-' for stdin)")
 		out       = flag.String("out", "", "emit: JSON record to write")
-		keepProcs = flag.String("keep-procs", "", "emit: regexp of benchmark names that keep their -N GOMAXPROCS suffix (for runs at several -cpu values)")
 		current   = flag.String("current", "", "check: current JSON record")
 		baseline  = flag.String("baseline", "", "check: committed baseline JSON record")
 		tolerance = flag.Float64("tolerance", 0.20, "check: allowed fractional inst/s regression")
@@ -83,7 +86,7 @@ func main() {
 
 	switch {
 	case *in != "" && *out != "":
-		if err := emit(*in, *out, *keepProcs); err != nil {
+		if err := emit(*in, *out); err != nil {
 			fail(err)
 		}
 	case *current != "" && *baseline != "":
@@ -95,14 +98,7 @@ func main() {
 	}
 }
 
-func emit(in, out, keepProcs string) error {
-	var keep *regexp.Regexp
-	if keepProcs != "" {
-		var err error
-		if keep, err = regexp.Compile(keepProcs); err != nil {
-			return fmt.Errorf("benchguard: -keep-procs: %w", err)
-		}
-	}
+func emit(in, out string) error {
 	f := os.Stdin
 	if in != "-" {
 		var err error
@@ -111,31 +107,8 @@ func emit(in, out, keepProcs string) error {
 		}
 		defer f.Close()
 	}
-	rec := Record{NProc: runtime.NumCPU(), Benchmarks: map[string]Bench{}}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
-		}
-		ns, err := strconv.ParseFloat(m[3], 64)
-		if err != nil {
-			continue
-		}
-		procs := 1
-		if m[2] != "" {
-			procs, _ = strconv.Atoi(m[2])
-		}
-		name := m[1]
-		if keep != nil && keep.MatchString(name) {
-			name = fmt.Sprintf("%s-%d", name, procs)
-		} else {
-			rec.GOMAXPROCS = max(rec.GOMAXPROCS, procs)
-		}
-		rec.Benchmarks[name] = Bench{NsPerOp: ns, Metrics: parseMetrics(m[4])}
-	}
-	if err := sc.Err(); err != nil {
+	rec, err := parse(f)
+	if err != nil {
 		return err
 	}
 	if len(rec.Benchmarks) == 0 {
@@ -152,6 +125,52 @@ func emit(in, out, keepProcs string) error {
 	fmt.Printf("benchguard: wrote %d benchmarks (GOMAXPROCS=%d, nproc=%d) to %s\n",
 		len(rec.Benchmarks), rec.GOMAXPROCS, rec.NProc, out)
 	return nil
+}
+
+// parse reads `go test -bench` output into a record. A benchmark seen at
+// more than one proc count keeps the suffix on each entry; every other
+// benchmark is recorded under its bare name, and the largest of their proc
+// counts is the record's GOMAXPROCS.
+func parse(r io.Reader) (Record, error) {
+	type result struct {
+		name  string
+		procs int
+		bench Bench
+	}
+	var results []result
+	procsSeen := map[string]map[int]bool{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		m := benchLine.FindStringSubmatch(sc.Text())
+		if m == nil {
+			continue
+		}
+		ns, err := strconv.ParseFloat(m[3], 64)
+		if err != nil {
+			continue
+		}
+		procs := 1
+		if m[2] != "" {
+			procs, _ = strconv.Atoi(m[2])
+		}
+		if procsSeen[m[1]] == nil {
+			procsSeen[m[1]] = map[int]bool{}
+		}
+		procsSeen[m[1]][procs] = true
+		results = append(results, result{m[1], procs, Bench{NsPerOp: ns, Metrics: parseMetrics(m[4])}})
+	}
+	rec := Record{NProc: runtime.NumCPU(), Benchmarks: map[string]Bench{}}
+	for _, res := range results {
+		name := res.name
+		if len(procsSeen[name]) > 1 {
+			name = fmt.Sprintf("%s-%d", name, res.procs)
+		} else {
+			rec.GOMAXPROCS = max(rec.GOMAXPROCS, res.procs)
+		}
+		rec.Benchmarks[name] = res.bench
+	}
+	return rec, sc.Err()
 }
 
 // parseMetrics extracts "value unit" pairs from the tail of a benchmark
@@ -213,6 +232,10 @@ func check(currentPath, baselinePath, metric, normalize string, tolerance float6
 		cb, ok := cur.Benchmarks[name]
 		if !ok {
 			regressions = append(regressions, fmt.Sprintf("%s: present in baseline, missing from current run", name))
+			continue
+		}
+		if _, _, ok := procVariant(base, name); ok && normalize != "" {
+			fmt.Printf("benchguard: %s left to the scaling check in normalized mode\n", name)
 			continue
 		}
 		cv := cb.Metrics[metric]
@@ -281,8 +304,8 @@ func check(currentPath, baselinePath, metric, normalize string, tolerance float6
 func checkScaling(cur Record, metric string) []string {
 	var failures []string
 	for name, one := range cur.Benchmarks {
-		base, ok := strings.CutSuffix(name, "-1")
-		if !ok {
+		base, procs, ok := procVariant(cur, name)
+		if !ok || procs != 1 {
 			continue
 		}
 		two, ok := cur.Benchmarks[base+"-2"]
@@ -301,6 +324,29 @@ func checkScaling(cur Record, metric string) []string {
 		}
 	}
 	return failures
+}
+
+// procVariant splits an entry parse kept a proc suffix on — "X-2" in a
+// record that also holds X at another proc count — into X and its proc
+// count.
+func procVariant(rec Record, name string) (base string, procs int, ok bool) {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 {
+		return "", 0, false
+	}
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return "", 0, false
+	}
+	base = name[:i]
+	for other := range rec.Benchmarks {
+		if rest, found := strings.CutPrefix(other, base+"-"); found && other != name {
+			if _, err := strconv.Atoi(rest); err == nil {
+				return base, procs, true
+			}
+		}
+	}
+	return "", 0, false
 }
 
 func load(path string) (Record, error) {
